@@ -18,7 +18,7 @@ of a tuple-valued field.  The empty path denotes the root.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import ast
 
@@ -50,32 +50,44 @@ NODE_TYPES = (
 )
 
 
+#: Node type -> names of its dataclass fields, ``location`` excluded.
+#: Built once so traversal never reflects through ``dataclasses.fields``;
+#: lookups are by exact type (no AST class is ever subclassed).
+FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(
+        field.name for field in dataclasses.fields(cls) if field.name != "location"
+    )
+    for cls in NODE_TYPES
+}
+
+
 def is_node(value: object) -> bool:
     """True when ``value`` is an ISDL AST node."""
-    return isinstance(value, NODE_TYPES)
+    return type(value) in FIELDS
 
 
 def children(node: object) -> List[Tuple[PathStep, object]]:
     """Enumerate direct AST children of ``node`` with their path steps."""
     result: List[Tuple[PathStep, object]] = []
-    if not dataclasses.is_dataclass(node):
-        return result
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if is_node(value):
-            result.append(((field.name, None), value))
+    for name in FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) in FIELDS:
+            result.append(((name, None), value))
         elif isinstance(value, tuple):
             for index, item in enumerate(value):
-                if is_node(item):
-                    result.append(((field.name, index), item))
+                if type(item) in FIELDS:
+                    result.append(((name, index), item))
     return result
 
 
 def walk(node: object, path: Path = ()) -> Iterator[Tuple[Path, object]]:
     """Preorder traversal of the tree rooted at ``node``."""
-    yield path, node
-    for step, child in children(node):
-        yield from walk(child, path + (step,))
+    stack = [(path, node)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for step, child in reversed(children(node)):
+            stack.append((path + (step,), child))
 
 
 def node_at(root: object, path: Path) -> object:
@@ -174,20 +186,26 @@ def strip_comments(node: object) -> object:
 
     Used before structural comparison: comments are documentation, not
     semantics, so two descriptions differing only in comments are equal.
+    The tree keeps its shape (paths are unchanged), and a subtree with
+    no comment anywhere under it is returned as the same object.
     """
-    if not dataclasses.is_dataclass(node) or not is_node(node):
+    names = FIELDS.get(type(node))
+    if names is None:
         return node
     updates = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if field.name == "comment" and value is not None:
-            updates[field.name] = None
-        elif is_node(value):
-            updates[field.name] = strip_comments(value)
-        elif isinstance(value, tuple) and any(is_node(item) for item in value):
-            updates[field.name] = tuple(
-                strip_comments(item) if is_node(item) else item for item in value
-            )
+    for name in names:
+        value = getattr(node, name)
+        if name == "comment":
+            if value is not None:
+                updates[name] = None
+        elif type(value) in FIELDS:
+            stripped = strip_comments(value)
+            if stripped is not value:
+                updates[name] = stripped
+        elif isinstance(value, tuple):
+            stripped_items = tuple(strip_comments(item) for item in value)
+            if any(new is not old for new, old in zip(stripped_items, value)):
+                updates[name] = stripped_items
     if not updates:
         return node
     return dataclasses.replace(node, **updates)

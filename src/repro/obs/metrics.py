@@ -33,8 +33,10 @@ trace timings).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+import weakref
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -209,6 +211,8 @@ SPAN_PHASES: Tuple[str, ...] = (
     "parse",
     "compile",
     "replay",
+    "locate",
+    "step",
     "match",
     "prove",
     "verify",
@@ -274,6 +278,27 @@ class _Span:
         return False
 
 
+#: Every live registry, so a forked child can replace their locks.
+_LIVE_REGISTRIES: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
+
+
+def _new_locks_after_fork() -> None:
+    """Give every registry a fresh lock in a newly forked child.
+
+    A pool worker forked while another parent thread was recording
+    would otherwise inherit a lock held by a thread that does not exist
+    in the child, and block forever on its first span.  Any update that
+    thread left half-done is in the child's baseline too, so the deltas
+    a worker reports (after minus before) are unaffected.
+    """
+    for registry in list(_LIVE_REGISTRIES):
+        registry._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_locks_after_fork)
+
+
 class MetricsRegistry:
     """All metric state for one process (or one collection window).
 
@@ -285,6 +310,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        _LIVE_REGISTRIES.add(self)
         self._counters: Dict[str, Dict[_LabelKey, int]] = {}
         self._gauges: Dict[str, Dict[_LabelKey, float]] = {}
         self._histograms: Dict[str, Dict[_LabelKey, _Histogram]] = {}

@@ -42,9 +42,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sqlite3
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -233,6 +235,10 @@ class SqliteBackend(StoreBackend):
         " PRIMARY KEY (kind, name))",
     )
 
+    #: Backoff before each retry of the first-open WAL switch: doubling
+    #: from 2 ms, capped at 250 ms, about 3 s in all.
+    _WAL_RETRY_DELAYS = tuple(min(0.002 * 2**attempt, 0.25) for attempt in range(18))
+
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
         self.path = self.root / SQLITE_FILENAME
@@ -252,14 +258,34 @@ class SqliteBackend(StoreBackend):
         connection = sqlite3.connect(
             str(self.path), timeout=30.0, isolation_level=None
         )
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
         connection.execute("PRAGMA busy_timeout=30000")
+        self._enable_wal(connection)
+        connection.execute("PRAGMA synchronous=NORMAL")
         for statement in self._SCHEMA:
             connection.execute(statement)
         self._local.connection = connection
         self._local.pid = os.getpid()
         return connection
+
+    @classmethod
+    def _enable_wal(cls, connection: sqlite3.Connection) -> None:
+        """Switch to WAL, retrying while another opener holds the lock.
+
+        When several processes open a fresh database at once, the
+        journal-mode switch can fail with ``database is locked`` at once,
+        without waiting out ``busy_timeout``.  Retry with jittered
+        exponential backoff; the switch is idempotent, so whichever
+        opener wins, every connection ends up in WAL mode.
+        """
+        for delay in cls._WAL_RETRY_DELAYS:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error):
+                    raise
+            time.sleep(delay * random.uniform(0.5, 1.0))
+        connection.execute("PRAGMA journal_mode=WAL")
 
     def put_object(self, digest: str, text: str) -> None:
         self._connect().execute(

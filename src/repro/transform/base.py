@@ -10,8 +10,11 @@ them".
 
 :class:`Context` packages the dataflow answers guards need (effect
 summaries, CFGs, liveness, reaching definitions, available copies) for
-one immutable description; a fresh context is built per step because the
-description changes under every successful step and the trees are tiny.
+one immutable description.  A fresh context is still built per step,
+because the description changes under every successful step, but each
+analysis in it is built lazily on first use: a step whose guards never
+ask about effects or a routine's dataflow pays nothing for them, and
+building a context costs one pass over the top-level declarations.
 """
 
 from __future__ import annotations
@@ -50,19 +53,29 @@ class TransformResult:
 
 
 class Context:
-    """Dataflow-backed view of one description, cached per routine."""
+    """Dataflow-backed view of one description; every analysis is lazy."""
 
     def __init__(self, description: ast.Description):
         self.description = description
-        self.effects = EffectAnalysis(description)
+        self._effects: Optional[EffectAnalysis] = None
         self._cfgs: Dict[str, Cfg] = {}
         self._liveness: Dict[str, Liveness] = {}
         self._reaching: Dict[str, ReachingDefinitions] = {}
         self._copies: Dict[str, AvailableCopies] = {}
-        self._routine_paths: Dict[str, Path] = {}
-        for path, node in walk(description):
-            if isinstance(node, ast.RoutineDecl):
-                self._routine_paths[node.name] = path
+        # Routines are only ever declared directly in a section.
+        self._routine_paths: Dict[str, Path] = {
+            decl.name: (("sections", s_index), ("decls", d_index))
+            for s_index, section in enumerate(description.sections)
+            for d_index, decl in enumerate(section.decls)
+            if isinstance(decl, ast.RoutineDecl)
+        }
+
+    @property
+    def effects(self) -> EffectAnalysis:
+        """Effect summaries for the whole description, built on first use."""
+        if self._effects is None:
+            self._effects = EffectAnalysis(self.description)
+        return self._effects
 
     # -- navigation ---------------------------------------------------
 

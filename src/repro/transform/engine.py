@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args
 
+from .. import obs
 from ..constraints import (
     Constraint,
     LanguageFact,
@@ -301,10 +302,10 @@ class Session:
         wanted_text = self._pattern_text(wanted)
         best: Optional[str] = None
         best_score = -1.0
-        for _path, node in walk(self.description):
+        for _path, node in walk(strip_comments(self.description)):
             if not isinstance(node, family):
                 continue
-            text = self._pattern_text(strip_comments(node))
+            text = self._pattern_text(node)
             score = difflib.SequenceMatcher(None, wanted_text, text).ratio()
             if score > best_score:
                 best, best_score = text, score
@@ -320,14 +321,26 @@ class Session:
             message += f"; nearest miss: {nearest!r}"
         return TransformError(message)
 
-    def _find(self, pattern, occurrence: int = 0, kinds=None) -> Path:
+    def _matches(self, wanted: object, skip_targets: bool = False) -> List[Path]:
+        """Preorder paths of every node equal to ``wanted``, comments ignored.
+
+        The description is stripped once and the stripped tree walked:
+        stripping keeps the tree's shape, so its paths are the live
+        tree's paths.  ``wanted`` must already be stripped.
+        """
+        wanted_type = type(wanted)
+        return [
+            path
+            for path, node in walk(strip_comments(self.description))
+            if type(node) is wanted_type
+            and node == wanted
+            and not (skip_targets and path and path[-1] == ("target", None))
+        ]
+
+    def _find(self, pattern, occurrence: int = 0) -> Path:
         wanted = strip_comments(pattern)
-        matches = []
-        for path, node in walk(self.description):
-            if kinds is not None and not isinstance(node, kinds):
-                continue
-            if strip_comments(node) == wanted:
-                matches.append(path)
+        with obs.span("locate", analysis=self.label):
+            matches = self._matches(wanted)
         if not matches:
             raise self._no_match_error(wanted)
         if occurrence >= len(matches):
@@ -345,12 +358,8 @@ class Session:
         means a *use* of ``rf``, not the left side of ``rf <- 1``.
         """
         wanted = strip_comments(parse_expr(text))
-        matches = []
-        for path, node in walk(self.description):
-            if path and path[-1] == ("target", None):
-                continue
-            if strip_comments(node) == wanted:
-                matches.append(path)
+        with obs.span("locate", analysis=self.label):
+            matches = self._matches(wanted, skip_targets=True)
         if not matches:
             raise self._no_match_error(wanted)
         if occurrence >= len(matches):
@@ -390,13 +399,17 @@ class Session:
     def apply(self, transform_name: str, at: Optional[Path] = None, **params) -> TransformResult:
         """Apply one transformation; raises TransformError when invalid."""
         transformation = get(transform_name)
-        ctx = Context(self.description)
-        started = time.perf_counter()
-        result = transformation.apply(ctx, at or (), **params)
-        duration = time.perf_counter() - started
-        digest_before = self._digest
-        self.description = result.description
-        self._digest = description_digest(result.description)
+        # Labelled by transform alone: the service returns its whole
+        # registry in every /batch reply, so an (analysis, transform)
+        # series each would make every reply several times larger.
+        with obs.span("step", transform=transform_name):
+            ctx = Context(self.description)
+            started = time.perf_counter()
+            result = transformation.apply(ctx, at or (), **params)
+            duration = time.perf_counter() - started
+            digest_before = self._digest
+            self.description = result.description
+            self._digest = description_digest(result.description)
         self.constraints.extend(result.constraints)
         self.augmented = self.augmented or result.is_augment
         self.history.append(

@@ -1,5 +1,8 @@
 """Tests for the traversal / functional-update infrastructure."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.isdl import (
@@ -15,7 +18,7 @@ from repro.isdl import (
     structurally_equal,
     walk,
 )
-from repro.isdl.visitor import splice_at
+from repro.isdl.visitor import FIELDS, NODE_TYPES, splice_at
 
 
 class TestWalk:
@@ -114,3 +117,47 @@ class TestComments:
 
     def test_structural_inequality(self):
         assert not structurally_equal(parse_expr("a + b"), parse_expr("a - b"))
+
+
+class TestFieldTable:
+    def test_table_is_dataclass_fields_minus_location(self):
+        assert set(FIELDS) == set(NODE_TYPES)
+        for cls in NODE_TYPES:
+            expected = tuple(
+                field.name
+                for field in dataclasses.fields(cls)
+                if field.name != "location"
+            )
+            assert FIELDS[cls] == expected, cls.__name__
+
+    def test_every_ast_dataclass_is_a_node_type(self):
+        defined = [
+            cls
+            for _name, cls in inspect.getmembers(ast, inspect.isclass)
+            if cls.__module__ == ast.__name__ and dataclasses.is_dataclass(cls)
+        ]
+        missing = [cls.__name__ for cls in defined if cls not in NODE_TYPES]
+        assert missing == []
+        assert len(defined) == len(NODE_TYPES)
+
+    def test_no_ast_class_is_subclassed(self):
+        # is_node and the field table look nodes up by exact type, so a
+        # subclass of an AST class would silently be treated as a leaf.
+        import repro.analyses  # noqa: F401  (load every module that builds trees)
+        import repro.api  # noqa: F401
+
+        subclassed = {
+            cls.__name__: [sub.__qualname__ for sub in cls.__subclasses__()]
+            for cls in NODE_TYPES
+            if cls.__subclasses__()
+        }
+        assert subclassed == {}
+
+    def test_strip_comments_shares_uncommented_subtrees(self):
+        stmts = parse_stmts("if a = 1 then\n b <- 2;\n c <- 3; ! note\nend_if;")
+        stripped = strip_comments(stmts[0])
+        assert stripped is not stmts[0]
+        assert stripped.cond is stmts[0].cond
+        assert stripped.then[0] is stmts[0].then[0]
+        assert stripped.then[1].comment is None
+        assert strip_comments(stripped) is stripped

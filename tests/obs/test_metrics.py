@@ -9,7 +9,12 @@ every declared family even for an empty snapshot.
 """
 
 import json
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -302,3 +307,46 @@ class TestPrometheusExport:
         registry.inc("repro_parse_cache_hits_total", namespace='we"ird\\ns')
         text = obs.export_prometheus(registry.snapshot())
         assert 'namespace="we\\"ird\\\\ns"' in text
+
+
+def _record_in_child(registry):
+    registry.inc("repro_verify_trials_total", 3)
+    with registry.span("step", analysis="child", transform="t"):
+        pass
+    snapshot = registry.snapshot()
+    sys.exit(0 if counter_value(snapshot, "repro_verify_trials_total") == 3 else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+def test_registry_works_in_a_child_forked_while_another_thread_holds_it():
+    """A worker forked by a threaded parent (the service's lazily
+    spawned pool) must not inherit a registry lock it can never take."""
+    registry = obs.MetricsRegistry()
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with registry._lock:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(10)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on any fork from a threaded process.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = multiprocessing.get_context("fork").Process(
+                target=_record_in_child, args=(registry,)
+            )
+            child.start()
+        child.join(timeout=10)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join(timeout=10)
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not hung, "child deadlocked on the inherited registry lock"
+    assert child.exitcode == 0

@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import json
+import multiprocessing
+import sqlite3
 
 import pytest
 
@@ -204,3 +206,65 @@ def test_multiprocess_pointer_stress(tmp_path, backend):
             for p in tmp_path.rglob(".tmp-*")
         ]
         assert stray == []
+
+
+# ---------------------------------------------------------------------------
+# concurrent first open (the WAL-switch race)
+
+
+def _first_open(root, rounds, barrier, results, worker):
+    """Open each round's fresh sqlite store at the same instant as every
+    other worker, then write and read back one verdict; report the
+    first failure (None when every round succeeded)."""
+    outcome = None
+    try:
+        for round_index in range(rounds):
+            barrier.wait(timeout=60)
+            store = TraceStore(root / f"round-{round_index}", backend="sqlite")
+            key = make_key(name=f"first-open-{worker}")
+            store.record_verdict(
+                key,
+                {"schema": STORE_SCHEMA, "key": key, "result": {"worker": worker}},
+            )
+            seen = store.lookup_verdict(key)
+            store.close()
+            if seen is None or seen.get("key") != key:
+                outcome = f"round {round_index}: lost verdict"
+                break
+    except Exception as error:  # reported to the parent, not swallowed
+        outcome = f"{type(error).__name__}: {error}"
+        barrier.abort()
+    results.put((worker, outcome))
+
+
+def test_sqlite_concurrent_first_open(tmp_path):
+    """Eight processes race to create the same fresh store, round after
+    round: every open must succeed and every store must end up in WAL
+    mode holding all eight verdicts."""
+    workers, rounds = 8, 5
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(workers)
+    results = context.Queue()
+    processes = [
+        context.Process(
+            target=_first_open, args=(tmp_path, rounds, barrier, results, worker)
+        )
+        for worker in range(workers)
+    ]
+    for process in processes:
+        process.start()
+    outcomes = dict(results.get(timeout=120) for _ in processes)
+    for process in processes:
+        process.join(timeout=60)
+        assert not process.is_alive()
+    assert outcomes == {worker: None for worker in range(workers)}
+
+    expected = sorted(f"first-open-{worker}" for worker in range(workers))
+    for round_index in range(rounds):
+        root = tmp_path / f"round-{round_index}"
+        connection = sqlite3.connect(str(root / SQLITE_FILENAME))
+        assert connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        connection.close()
+        store = TraceStore(root, backend="sqlite")
+        assert store.names() == expected
+        store.close()
