@@ -258,7 +258,7 @@ def run_cache_bench(
             shutil.rmtree(root, ignore_errors=True)
 
     def _modulo_cache(report) -> str:
-        payload = json.loads(report.to_json())
+        payload = report.to_payload()
         payload.pop("cache", None)
         payload.pop("metrics", None)
         return json.dumps(payload, sort_keys=True)

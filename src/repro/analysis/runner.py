@@ -181,14 +181,14 @@ class BatchReport:
             return 0
         return sum(1 for result in self.results if not result.cached)
 
-    def to_json(self) -> str:
-        """Deterministic report: same seed -> byte-identical output.
+    def to_payload(self) -> Dict[str, object]:
+        """The report as plain JSON data: same seed -> equal payload.
 
         Durations and the worker count are deliberately excluded —
         they are the two fields that legitimately vary between
         otherwise identical runs.
         """
-        payload = {
+        payload: Dict[str, object] = {
             "schema": SCHEMA,
             "seed": self.seed,
             "trials": self.trials,
@@ -223,7 +223,11 @@ class BatchReport:
             }
         if self.metrics is not None:
             payload["metrics"] = self.metrics
-        return canonical_report_json(payload)
+        return payload
+
+    def to_json(self) -> str:
+        """Deterministic report text: same seed -> byte-identical output."""
+        return canonical_report_json(self.to_payload())
 
     def summary_lines(self) -> List[str]:
         lines = []
@@ -543,6 +547,23 @@ def _aggregate(
     return results
 
 
+@lru_cache(maxsize=None)
+def _description_digests(name: str) -> Tuple[str, str]:
+    """``(operator, instruction)`` input digests of one analysis.
+
+    Memoized per process, like the factories themselves: the inputs
+    are fixed for the life of a process, the same assumption
+    :func:`repro.provenance.code_epoch` makes about the code.
+    """
+    from ..isdl import description_digest
+
+    module = importlib.import_module(f"repro.analyses.{name}")
+    return (
+        description_digest(module.OPERATOR()),
+        description_digest(module.INSTRUCTION()),
+    )
+
+
 def entry_verdict_key(
     entry: CatalogEntry,
     engine: str,
@@ -558,14 +579,13 @@ def entry_verdict_key(
     come from the module's ``OPERATOR`` / ``INSTRUCTION`` factories,
     and everything else is the verification plan.
     """
-    from ..isdl import description_digest
     from ..provenance import verdict_key
 
-    module = importlib.import_module(f"repro.analyses.{entry.name}")
+    operator_digest, instruction_digest = _description_digests(entry.name)
     return verdict_key(
         entry.name,
-        description_digest(module.OPERATOR()),
-        description_digest(module.INSTRUCTION()),
+        operator_digest,
+        instruction_digest,
         engine,
         trials,
         seed,

@@ -16,11 +16,11 @@ uncached so diagnostics keep pointing at the offending source.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 from .. import obs
+from ..obs.metrics import fork_safe_lock
 
 
 @dataclass
@@ -42,7 +42,7 @@ class TextMemo:
         self.namespace = namespace
         self._parse = parse
         self._entries: Dict[bytes, Any] = {}
-        self._lock = threading.Lock()
+        self._lock = fork_safe_lock(self)
         self.stats = CacheStats()
 
     @staticmethod

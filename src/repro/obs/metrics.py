@@ -278,21 +278,28 @@ class _Span:
         return False
 
 
-#: Every live registry, so a forked child can replace their locks.
-_LIVE_REGISTRIES: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
+#: Every live lock owner, so a forked child can replace their locks.
+_LOCK_OWNERS: "weakref.WeakSet[object]" = weakref.WeakSet()
 
 
-def _new_locks_after_fork() -> None:
-    """Give every registry a fresh lock in a newly forked child.
+def fork_safe_lock(owner: object) -> threading.Lock:
+    """A lock for ``owner._lock`` that a forked child replaces.
 
-    A pool worker forked while another parent thread was recording
-    would otherwise inherit a lock held by a thread that does not exist
-    in the child, and block forever on its first span.  Any update that
+    The service forks its pool workers lazily while handler threads
+    record spans, parse and compile.  A worker forked while one of
+    those threads held a registry or memo lock would otherwise inherit
+    a lock held by a thread that does not exist in the child, and block
+    forever on its first span, parse or compile.  Any update that
     thread left half-done is in the child's baseline too, so the deltas
     a worker reports (after minus before) are unaffected.
     """
-    for registry in list(_LIVE_REGISTRIES):
-        registry._lock = threading.Lock()
+    _LOCK_OWNERS.add(owner)
+    return threading.Lock()
+
+
+def _new_locks_after_fork() -> None:
+    for owner in list(_LOCK_OWNERS):
+        owner._lock = threading.Lock()  # type: ignore[attr-defined]
 
 
 if hasattr(os, "register_at_fork"):
@@ -309,8 +316,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        _LIVE_REGISTRIES.add(self)
+        self._lock = fork_safe_lock(self)
         self._counters: Dict[str, Dict[_LabelKey, int]] = {}
         self._gauges: Dict[str, Dict[_LabelKey, float]] = {}
         self._histograms: Dict[str, Dict[_LabelKey, _Histogram]] = {}

@@ -42,7 +42,6 @@ against each other on random programs.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -52,6 +51,7 @@ from ..isdl import ast
 from ..isdl.cache import CacheStats, TextMemo
 from ..isdl.errors import SemanticError
 from ..isdl.printer import format_description
+from ..obs.metrics import fork_safe_lock
 from .interpreter import (
     AssertionFailed,
     ExecutionResult,
@@ -518,7 +518,7 @@ class _CompileMemo:
 
     def __init__(self) -> None:
         self._entries: Dict[bytes, CompiledProgram] = {}
-        self._lock = threading.Lock()
+        self._lock = fork_safe_lock(self)
         self.stats = CacheStats()
 
     def get(self, description: ast.Description) -> CompiledProgram:

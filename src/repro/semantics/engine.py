@@ -41,7 +41,7 @@ from .interpreter import (
     Interpreter,
     StepLimitExceeded,
 )
-from .randomgen import ScenarioBatch, derive_seed
+from .randomgen import ScenarioBatch, SeedStream
 from .vectorized import BatchResult, VectorizedDescription
 
 #: Engine names accepted by every ``--engine`` flag, in display order.
@@ -142,7 +142,9 @@ class _GatedExecutor:
         self._engine = engine
         self._name = description.name
         self._gate = gate
-        self._gate_seed = gate_seed
+        #: ``derive_seed(gate_seed, "gate", name, index)`` per index,
+        #: with the constant prefix hashed once per executor.
+        self._gate_draws = SeedStream(gate_seed, "gate", self._name)
         self._gate_period = max(1, gate_period)
         self._trial = 0
 
@@ -155,8 +157,7 @@ class _GatedExecutor:
             return True
         if index == 0:
             return True
-        draw = derive_seed(self._gate_seed, "gate", self._name, index)
-        return draw % self._gate_period == 0
+        return self._gate_draws.at(index) % self._gate_period == 0
 
     def _compare(self, got, inputs, memory, index: int) -> None:
         """Cross-check one observation against every reference engine."""

@@ -43,7 +43,7 @@ def derive_seed(root: int, *labels: object) -> int:
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-class _SeedStream:
+class SeedStream:
     """Per-index seeds for one ``(root, *labels)`` prefix, amortized.
 
     Produces exactly ``derive_seed(root, *labels, index)`` for every

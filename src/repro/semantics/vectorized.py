@@ -35,7 +35,6 @@ engine already lives under, now three-way.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,6 +43,7 @@ from ..isdl import ast
 from ..isdl.cache import CacheStats, TextMemo
 from ..isdl.errors import SemanticError
 from ..isdl.printer import format_description
+from ..obs.metrics import fork_safe_lock
 from .compiler import DEFAULT_MAX_STEPS, _mangle, _Writer, description_text
 from .interpreter import (
     AssertionFailed,
@@ -1428,7 +1428,7 @@ class _VectorMemo:
 
     def __init__(self) -> None:
         self._entries: Dict[bytes, VectorProgram] = {}
-        self._lock = threading.Lock()
+        self._lock = fork_safe_lock(self)
         self.stats = CacheStats()
 
     def get(self, description: ast.Description) -> VectorProgram:

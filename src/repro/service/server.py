@@ -468,9 +468,12 @@ class AnalysisService:
         forced = {} if jobs is None else {"jobs": int(jobs)}
         config = self._run_config(request, **forced)
         result = _catch_unknown(lambda: api.batch(names, config))
-        # The canonical report bytes, re-parsed: /batch returns the same
-        # structure ``repro batch --json`` prints.
-        return json.loads(result.to_json())
+        # The structure ``repro batch --json`` prints, encoded once by
+        # ``_blocking``.  The service's lifetime registry is not part
+        # of it: that lives at /stats and /metrics.
+        payload = result.report.to_payload()
+        payload.pop("metrics", None)
+        return payload
 
     def _do_trace(self, request: Dict[str, Any]) -> Dict[str, object]:
         from .. import api

@@ -100,6 +100,34 @@ class TestInvalidation:
         assert "cache" not in json.loads(report.to_json())
 
 
+class TestVerdictKeys:
+    def test_memoized_keys_equal_freshly_built_ones(self):
+        # Each entry's input digests are computed once per process;
+        # the key must be exactly what fresh descriptions give.
+        import importlib
+
+        from repro.analysis.runner import catalog, entry_verdict_key
+        from repro.isdl import description_digest
+
+        for entry in catalog():
+            module = importlib.import_module(f"repro.analyses.{entry.name}")
+            fresh = provenance.verdict_key(
+                entry.name,
+                description_digest(module.OPERATOR()),
+                description_digest(module.INSTRUCTION()),
+                "compiled",
+                120,
+                1982,
+                True,
+                epoch="e",
+            )
+            for _call in range(2):
+                memoized = entry_verdict_key(
+                    entry, "compiled", 120, 1982, True, epoch="e"
+                )
+                assert memoized == fresh, entry.name
+
+
 class TestWhatGetsStored:
     def test_errored_entries_are_not_memoized(self, tmp_path, monkeypatch):
         import repro.analyses.scasb_rigel as scasb_rigel

@@ -21,7 +21,7 @@ from repro.semantics import (
     compile_cache_stats,
     compile_description,
 )
-from repro.semantics import compiler
+from repro.semantics import compiler, derive_seed
 from repro.semantics.engine import EngineMismatchError
 
 
@@ -342,3 +342,36 @@ class TestDifferentialGate:
         desc = make("input (x); x <- x - 1; output (x);")
         executor = ExecutionEngine(name="interp").executor(desc)
         assert executor.run({"x": 5}).outputs == (4,)
+
+
+class TestSampledGate:
+    """The sampled gate checks a fixed, seeded subset of trials."""
+
+    def test_checked_trials_follow_derive_seed(self):
+        # The executor hashes the ("gate", name) prefix once per
+        # executor; the selection must still be derive_seed's, trial
+        # for trial.
+        engine = ExecutionEngine(gate="sampled", gate_seed=77, gate_period=16)
+        executor = engine.executor(make("input (x); output (x);"))
+        for index in range(20000):
+            draw = derive_seed(77, "gate", "t.op", index)
+            assert executor._gate_draws.at(index) == draw, index
+            expected = index == 0 or draw % 16 == 0
+            assert executor._checked(index) == expected, index
+
+    @pytest.mark.parametrize("engine", ["compiled", "vectorized"])
+    def test_full_catalog_check_count_is_pinned(self, engine):
+        # 297 checks at 120 trials, seed 1982: the count before the
+        # per-executor seed stream existed.  Which trials are checked
+        # is part of the contract; a cheaper draw must not move it.
+        from repro import api, obs
+        from repro.api import RunConfig
+
+        result = api.batch(
+            None, RunConfig(trials=120, seed=1982, engine=engine), metrics=True
+        )
+        assert result.ok
+        checks = obs.counter_value(
+            result.metrics, "repro_engine_gate_checks_total"
+        )
+        assert checks == 297

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import api, obs
 from repro.service import AnalysisService, ServiceConfig, run_loadtest
 from repro.service.loadtest import _Client
+from repro.service.server import _json_bytes
 
 FAST = {"trials": 6}
 
@@ -126,6 +127,76 @@ class TestEndpoints:
             exposition = text.decode("utf-8")
             assert "repro_service_requests_total" in exposition
             assert "repro_service_request_seconds" in exposition
+
+        with_service(make_config(tmp_path), scenario)
+
+
+class TestBatchReply:
+    """/batch answers with the report alone, never the registry."""
+
+    NAMES = ["scasb_rigel", "movsb_pascal"]
+
+    def test_reply_bytes_equal_the_api_payload_cold_and_warm(self, tmp_path):
+        config = make_config(tmp_path)
+        plan = api.RunConfig(
+            cache_dir=str(tmp_path / "api-store"),
+            store_backend="sqlite",
+            trials=FAST["trials"],
+            seed=config.seed,
+            jobs=config.jobs,
+        )
+        expected = []
+        for _temperature in ("cold", "warm"):
+            with obs.collecting():
+                payload = api.batch(self.NAMES, plan).report.to_payload()
+            assert "metrics" in payload
+            del payload["metrics"]
+            expected.append(_json_bytes(payload))
+
+        async def scenario(client, service):
+            replies = []
+            for _temperature in ("cold", "warm"):
+                status, body = await client.request(
+                    "POST", "/batch", {"names": self.NAMES, **FAST}
+                )
+                assert status == 200
+                replies.append(body)
+            return replies
+
+        assert with_service(config, scenario) == expected
+
+    def test_reply_does_not_grow_with_the_registry(self, tmp_path):
+        async def scenario(client, service):
+            payload = {"names": self.NAMES, **FAST}
+            await client.request("POST", "/batch", payload)  # fill
+            status, first = await client.request("POST", "/batch", payload)
+            assert status == 200
+            assert "metrics" not in json.loads(first)
+            status, before = await client.request_json("GET", "/stats")
+            for seed in range(20):
+                status, _ = await client.request(
+                    "POST",
+                    "/verify",
+                    {"name": self.NAMES[seed % 2], "seed": 100 + seed, **FAST},
+                )
+                assert status == 200
+            status, after = await client.request_json("GET", "/stats")
+            assert len(json.dumps(after)) > len(json.dumps(before))
+            status, again = await client.request("POST", "/batch", payload)
+            assert status == 200
+            assert "metrics" not in json.loads(again)
+            assert len(again) == len(first)
+
+            # the registry is still served where it belongs
+            assert obs.counter_value(after, "repro_service_requests_total") >= 22
+            status, text = await client.request("GET", "/metrics")
+            assert status == 200
+            exposition = text.decode("utf-8")
+            for family in (
+                "repro_service_requests_total",
+                "repro_service_request_seconds",
+            ):
+                assert family in exposition
 
         with_service(make_config(tmp_path), scenario)
 
