@@ -719,6 +719,12 @@ def cmd_compile(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .semantics.engine import DEFAULT_ENGINE, ENGINE_NAMES
+
+    engine_help = "execution engine: %s (default: %s)" % (
+        " | ".join(ENGINE_NAMES),
+        DEFAULT_ENGINE,
+    )
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="EXTRA: exotic-instruction analysis (Morgan & Rowe 1982)",
@@ -759,7 +765,7 @@ def main(argv=None) -> int:
     p_batch.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help=engine_help,
     )
     p_batch.add_argument(
         "--cache-dir",
@@ -826,7 +832,7 @@ def main(argv=None) -> int:
     p_verify.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help=engine_help,
     )
     p_verify.add_argument(
         "--json", action="store_true", help="deterministic JSON report"
@@ -901,7 +907,7 @@ def main(argv=None) -> int:
     p_stats.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help=engine_help,
     )
     p_stats.add_argument(
         "--cache-dir",
@@ -1028,7 +1034,7 @@ def main(argv=None) -> int:
     p_analyze.add_argument(
         "--engine",
         default=None,
-        help="execution engine: interp | compiled | vectorized (default: compiled)",
+        help=engine_help,
     )
 
     p_prove = sub.add_parser(

@@ -363,13 +363,15 @@ def _clear_replay_cache() -> None:
 
 
 def _cache_miss_count() -> int:
-    """Total parse + compile cache misses in this process so far."""
+    """Total parse, compile and vector-kernel cache misses so far."""
     from ..isdl.cache import cache_stats
     from ..semantics.compiler import compile_cache_stats
+    from ..semantics.vectorized import vector_cache_stats
 
     return (
         sum(stats["misses"] for stats in cache_stats().values())
         + compile_cache_stats()["misses"]
+        + vector_cache_stats()["misses"]
     )
 
 
@@ -378,7 +380,8 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
 
     On platforms that fork (the Linux default), worker processes
     inherit the parent's memory copy-on-write, so replaying each
-    analysis and compiling its final descriptions *once* here means no
+    analysis and compiling its final descriptions (scalar program and,
+    for the vectorized engine, batch kernel) *once* here means no
     worker ever parses or compiles cold — ``execute_shard``'s
     ``cache_misses`` accounting stays at zero per worker, which
     ``benchmarks/test_batch_runner.py`` asserts.
@@ -387,6 +390,7 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
     that entry's structured job record, not abort the whole batch here.
     """
     from ..semantics.compiler import compile_description
+    from ..semantics.vectorized import compile_vectorized
 
     seen = set()
     for spec in specs:
@@ -396,8 +400,15 @@ def preload_caches(specs: Sequence[ShardSpec]) -> None:
         try:
             module, outcome = _replay(spec.name)
             if spec.engine != "interp" and outcome.succeeded and outcome.binding:
-                compile_description(outcome.binding.final_operator)
-                compile_description(outcome.binding.augmented_instruction)
+                for description in (
+                    outcome.binding.final_operator,
+                    outcome.binding.augmented_instruction,
+                ):
+                    # The compiled program is also the vectorized
+                    # engine's gate reference, so both engines need it.
+                    compile_description(description)
+                    if spec.engine == "vectorized":
+                        compile_vectorized(description)
             if spec.symbolic and outcome.succeeded and outcome.binding:
                 scenario = getattr(module, "SCENARIO", None)
                 if scenario is not None:

@@ -235,9 +235,10 @@ def verify_binding(
     whether it runs in shard 0 of 1 or shard 3 of 4 — see
     :class:`repro.semantics.randomgen.ScenarioStream`).
 
-    ``engine`` selects the execution substrate (compiled by default;
-    the interpreter stays the reference semantics; ``vectorized`` runs
-    the whole trial window as one wide batch per description) and
+    ``engine`` selects the execution substrate (``vectorized`` by
+    default, running the whole trial window as one wide batch per
+    description; the interpreter stays the reference semantics;
+    ``compiled`` runs the trials one at a time) and
     ``gate`` how often fast-engine runs are cross-checked against the
     reference engines — ``always`` unless the caller says otherwise,
     so any miscompilation surfaces as

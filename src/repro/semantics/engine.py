@@ -5,11 +5,13 @@ Three engines execute descriptions:
 * ``interp`` — the big-step tree-walking interpreter
   (:mod:`repro.semantics.interpreter`), the *reference* semantics;
 * ``compiled`` — generated native Python closures
-  (:mod:`repro.semantics.compiler`), the fast scalar default;
+  (:mod:`repro.semantics.compiler`), the fast scalar engine and the
+  vectorized gate's second reference;
 * ``vectorized`` — generated batch kernels
   (:mod:`repro.semantics.vectorized`) that run N machine states at
   once over numpy arrays (or a pure-python vector fallback), with
-  ``repeat``/``exit_when`` handled by active-lane masks.
+  ``repeat``/``exit_when`` handled by active-lane masks or, for
+  regular byte loops, in closed form — the default.
 
 The fast engines exist purely for speed, so their correctness is
 enforced structurally rather than trusted: a **differential gate**
@@ -29,7 +31,8 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..isdl import ast
@@ -48,9 +51,9 @@ from .vectorized import BatchResult, VectorizedDescription
 ENGINE_NAMES: Tuple[str, ...] = ("interp", "compiled", "vectorized")
 
 #: The engine used when nothing is selected.  The interpreter remains
-#: the reference semantics; the compiled engine is the verification
-#: substrate (see DESIGN.md §2).
-DEFAULT_ENGINE = "compiled"
+#: the reference semantics; the vectorized engine is the verification
+#: substrate, gated against both scalar engines (see DESIGN.md §2).
+DEFAULT_ENGINE = "vectorized"
 
 #: Gate modes, from most to least paranoid.
 GATE_MODES: Tuple[str, ...] = ("always", "sampled", "off")
@@ -86,6 +89,28 @@ def _observe(executor, inputs, memory):
         return ("result", executor.run(inputs, memory))
     except (StepLimitExceeded, AssertionFailed, SemanticError, ValueError) as error:
         return ("raise", type(error).__name__, str(error), error)
+
+
+def _sampled(draws: SeedStream, period: int, index: int) -> bool:
+    """Whether the sampled gate checks trial ``index`` of one executor."""
+    return index == 0 or draws.at(index) % period == 0
+
+
+@lru_cache(maxsize=1024)
+def _sampled_lanes(
+    gate_seed: int, name: str, gate_period: int, base: int, n: int
+) -> Tuple[int, ...]:
+    """The lanes of an ``n``-lane batch at trial ``base`` the gate checks.
+
+    Executors are built per shard, so every shard of a description asks
+    for the same ``(base, n)``; memoizing the tuple spares one SHA-256
+    draw per lane per shard.  Lane ``i`` is in the tuple exactly when
+    :meth:`_GatedExecutor._checked` holds for trial ``base + i``.
+    """
+    draws = SeedStream(gate_seed, "gate", name)
+    return tuple(
+        lane for lane in range(n) if _sampled(draws, gate_period, base + lane)
+    )
 
 
 def _lane_inputs(inputs: Mapping[str, Any], lane: int) -> Mapping[str, int]:
@@ -142,6 +167,7 @@ class _GatedExecutor:
         self._engine = engine
         self._name = description.name
         self._gate = gate
+        self._gate_seed = gate_seed
         #: ``derive_seed(gate_seed, "gate", name, index)`` per index,
         #: with the constant prefix hashed once per executor.
         self._gate_draws = SeedStream(gate_seed, "gate", self._name)
@@ -155,9 +181,15 @@ class _GatedExecutor:
     def _checked(self, index: int) -> bool:
         if self._gate == "always":
             return True
-        if index == 0:
-            return True
-        return self._gate_draws.at(index) % self._gate_period == 0
+        return _sampled(self._gate_draws, self._gate_period, index)
+
+    def _checked_lanes(self, base: int, n: int) -> Sequence[int]:
+        """The lanes ``i < n`` whose trial ``base + i`` is checked."""
+        if self._gate == "always":
+            return range(n)
+        return _sampled_lanes(
+            self._gate_seed, self._name, self._gate_period, base, n
+        )
 
     def _compare(self, got, inputs, memory, index: int) -> None:
         """Cross-check one observation against every reference engine."""
@@ -212,9 +244,7 @@ class _GatedExecutor:
         base = self._trial
         result = self._primary.run_batch(inputs, memory, n=n)
         self._trial = base + result.n
-        for lane in range(result.n):
-            if not self._checked(base + lane):
-                continue
+        for lane in self._checked_lanes(base, result.n):
             got = result.lane_outcome(lane)
             self._compare(
                 got,
@@ -280,8 +310,9 @@ class ExecutionEngine:
     """
 
     name: str = DEFAULT_ENGINE
-    #: ``always`` | ``sampled`` | ``off`` — how often compiled runs are
-    #: cross-checked against the interpreter.  Irrelevant for ``interp``.
+    #: ``always`` | ``sampled`` | ``off`` — how often fast-engine runs
+    #: are cross-checked against the reference engines.  Irrelevant for
+    #: ``interp``.
     gate: str = "always"
     gate_seed: int = 1982
     gate_period: int = 16

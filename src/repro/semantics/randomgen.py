@@ -298,7 +298,8 @@ class ScenarioBatch:
     vectorized engine runs directly on these arrays; every scalar
     consumer can still reconstruct the exact per-trial
     :class:`Scenario` via :meth:`scenario`.  Without numpy the batch
-    degrades to a tuple of scalar draws behind the same interface.
+    degrades to a tuple of scalar draws behind the same interface, and
+    ``inputs`` holds one plain list per operand taken from those draws.
 
     The batch is provably identical to sequential draws: both paths
     evaluate the same ``(trial_seed, slot)`` counter function, so there
@@ -515,18 +516,24 @@ class ScenarioStream:
         Lane ``i`` of the batch holds exactly ``self.at(offset + i)``;
         the seed-contract regression tests compare drawn-state digests
         between the two paths.  Falls back to scalar draws when numpy
-        is unavailable.
+        is unavailable, still exposing every operand as a column.
         """
         if _np is None:
+            scenarios = self.window(offset, count)
+            plan = _layout(self.spec)
+            names = [entry[0] for entry in plan.addresses + plan.others]
             return ScenarioBatch(
                 spec=self.spec,
                 seed=self.seed,
                 offset=offset,
                 n=count,
-                inputs={},
+                inputs={
+                    name: [scenario.inputs[name] for scenario in scenarios]
+                    for name in names
+                },
                 image=None,
                 bases={},
-                scenarios=self.window(offset, count),
+                scenarios=scenarios,
             )
         inputs, image, bases = _batch_draw(
             self.spec, self.stream_key, offset, count

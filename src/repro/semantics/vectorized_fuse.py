@@ -900,10 +900,16 @@ class FusedPlan:
 
         for spec in self.finals:
             if spec[0] == "affine":
+                # An increment at the firing exit's own position sits in
+                # a call inside that exit's condition, and the condition
+                # is evaluated in full before the loop is left: it
+                # counts ``fire + 1`` times, like every earlier event.
+                # Writes and matrix assignments are ``Assign``
+                # statements, so they never share an exit's position.
                 _, ri, events = spec
                 value = regs[ri]
                 for delta, pos in events:
-                    value = value + delta * (fire + (pos < win_pos))
+                    value = value + delta * (fire + (pos <= win_pos))
             else:
                 _, ri, mi, pos = spec
                 execs = fire + (pos < win_pos)

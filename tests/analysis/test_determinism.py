@@ -9,8 +9,15 @@ the full run would have produced at those indices.  These tests pin
 that contract down.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analyses import scasb_rigel
 from repro.analysis import run_batch, verify_binding
 from repro.semantics import derive_seed, generate_scenario_at, generate_scenarios
@@ -18,6 +25,30 @@ from repro.semantics import derive_seed, generate_scenario_at, generate_scenario
 
 def _spec():
     return scasb_rigel.SCENARIO
+
+
+#: Runs ``python -m repro`` with numpy made unimportable.
+_WITHOUT_NUMPY = (
+    "import runpy, sys; sys.modules['numpy'] = None; "
+    "runpy.run_module('repro', run_name='__main__')"
+)
+
+
+def _cli_without_numpy(*argv):
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr + completed.stdout
+    return completed.stdout
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +162,19 @@ class TestEngineDeterminism:
         assert compiled.engine == "compiled"
         assert interp.engine == "interp"
         assert vectorized.engine == "vectorized"
+
+    def test_numpy_less_vectorized_batch_equals_interp(self):
+        # Without numpy the vectorized engine runs its pure-python
+        # backend on the scalar draws.  mvc_pascal and mva_pascal fail
+        # when every lane sees all-zero operands, so they show whether
+        # the drawn operands reached the kernels.
+        argv = ["batch", "--trials", "40", "--seed", "7", "--json"]
+        argv += ["--no-cache", "mvc_pascal", "mva_pascal", "--engine"]
+        vectorized = _cli_without_numpy(*argv, "vectorized")
+        interp = _cli_without_numpy(*argv, "interp")
+        assert vectorized == interp
+        summary = json.loads(vectorized)["summary"]
+        assert summary == {"failed": 0, "ok": 2, "total": 2}
 
     def test_vectorized_report_survives_parallel_jobs(self):
         # One wide batch per shard, three shards, two workers: the

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.semantics.engine import DEFAULT_ENGINE
 
 
 def _cli_stdout(capsys, argv):
@@ -87,7 +88,7 @@ class TestAnalyzeAndVerifyFacade:
         assert result.verified_trials == 5
         assert result.trials == 5
         assert result.seed == 11
-        assert result.engine in ("interp", "compiled")
+        assert result.engine == DEFAULT_ENGINE
         assert result.failure is None
         assert result.error is None
 

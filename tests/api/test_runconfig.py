@@ -15,6 +15,7 @@ from repro.analyses import scasb_rigel
 from repro.analysis import RunConfig, run_batch, verify_binding
 from repro.analysis.bench import run_bench
 from repro.analysis.config import _UNSET, resolve_config
+from repro.semantics.engine import DEFAULT_ENGINE
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,10 @@ class TestRunConfigValue:
     def test_resolve_engine_names(self):
         assert RunConfig(engine="interp").resolve_engine().name == "interp"
         assert RunConfig(engine="compiled").resolve_engine().name == "compiled"
-        assert RunConfig().resolve_engine().name in ("interp", "compiled")
+        assert (
+            RunConfig(engine="vectorized").resolve_engine().name == "vectorized"
+        )
+        assert RunConfig().resolve_engine().name == DEFAULT_ENGINE
 
 
 class TestDeprecatedEntryPoints:

@@ -309,16 +309,18 @@ def planted_miscompile(monkeypatch):
 
 
 class TestDifferentialGate:
+    # Both tests pin the compiled engine: the plant breaks the compiled
+    # lowering, which the vectorized default never runs ungated.
     def test_gate_fires_on_planted_miscompile(self, planted_miscompile):
         desc = make("input (x); x <- x - 1; output (x);")
-        executor = ExecutionEngine().executor(desc)
+        executor = ExecutionEngine("compiled").executor(desc)
         with pytest.raises(EngineMismatchError) as excinfo:
             executor.run({"x": 5})
         assert "t.op" in str(excinfo.value)
 
     def test_gate_off_lets_the_miscompile_through(self, planted_miscompile):
         desc = make("input (x); x <- x - 1; output (x);")
-        executor = ExecutionEngine(gate="off").executor(desc)
+        executor = ExecutionEngine("compiled", gate="off").executor(desc)
         assert executor.run({"x": 5}).outputs == (6,)
 
     def test_verify_binding_raises_before_any_verdict(self, planted_miscompile):
@@ -359,19 +361,54 @@ class TestSampledGate:
             expected = index == 0 or draw % 16 == 0
             assert executor._checked(index) == expected, index
 
-    @pytest.mark.parametrize("engine", ["compiled", "vectorized"])
+    def test_memoized_lanes_equal_the_per_trial_rule(self):
+        # _checked stays the definition; the per-(base, n) memo used by
+        # run_batch must select exactly the lanes it selects.
+        import random
+
+        rng = random.Random(1982)
+        description = make("input (x); output (x);")
+        for gate_seed, period in ((1982, 16), (77, 5), (3, 1)):
+            executor = ExecutionEngine(
+                "vectorized",
+                gate="sampled",
+                gate_seed=gate_seed,
+                gate_period=period,
+            ).executor(description)
+            windows = [(0, 0), (0, 1), (0, 64), (0, 300)] + [
+                (rng.randrange(0, 5000), rng.randrange(0, 200))
+                for _ in range(40)
+            ]
+            for base, n in windows:
+                want = [i for i in range(n) if executor._checked(base + i)]
+                assert list(executor._checked_lanes(base, n)) == want
+                # A second ask is served by the memo, unchanged.
+                assert list(executor._checked_lanes(base, n)) == want
+
+    def test_always_gate_checks_every_lane(self):
+        executor = ExecutionEngine("vectorized", gate="always").executor(
+            make("input (x); output (x);")
+        )
+        assert list(executor._checked_lanes(37, 10)) == list(range(10))
+
+    @pytest.mark.parametrize(
+        "engine", ["compiled", "vectorized", "interp", "default"]
+    )
     def test_full_catalog_check_count_is_pinned(self, engine):
         # 297 checks at 120 trials, seed 1982: the count before the
         # per-executor seed stream existed.  Which trials are checked
-        # is part of the contract; a cheaper draw must not move it.
+        # is part of the contract; a cheaper draw or lane selection
+        # must not move it.  The interpreter is the reference and runs
+        # ungated.
         from repro import api, obs
         from repro.api import RunConfig
 
-        result = api.batch(
-            None, RunConfig(trials=120, seed=1982, engine=engine), metrics=True
-        )
+        config = RunConfig(trials=120, seed=1982)
+        if engine != "default":
+            config = config.replace(engine=engine)
+        result = api.batch(None, config, metrics=True)
         assert result.ok
         checks = obs.counter_value(
             result.metrics, "repro_engine_gate_checks_total"
         )
-        assert checks == 297
+        assert checks == (0 if engine == "interp" else 297)

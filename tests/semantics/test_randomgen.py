@@ -2,7 +2,12 @@
 
 from hypothesis import given, strategies as st
 
-from repro.semantics import OperandSpec, ScenarioSpec, generate_scenarios
+from repro.semantics import (
+    OperandSpec,
+    ScenarioSpec,
+    generate_scenarios,
+    randomgen,
+)
 
 SPEC = ScenarioSpec(
     operands={
@@ -123,12 +128,24 @@ def test_batch_lanes_equal_sequential_draws():
 
 def test_batch_columns_are_exact_scalar_values():
     """Columnar inputs agree with the per-trial draws element-wise."""
+    _assert_columns_match_scalar_draws()
+
+
+def test_numpy_less_batch_columns_are_exact_scalar_values(monkeypatch):
+    """Without numpy the batch still carries every operand's column.
+
+    A batch with no input columns would run every lane on all-zero
+    operands and verify nothing.
+    """
+    monkeypatch.setattr(randomgen, "_np", None)
+    _assert_columns_match_scalar_draws()
+
+
+def _assert_columns_match_scalar_draws():
     stream = _streams()[0]
     batch = stream.draw_batch(5, 24)
     scalar = stream.window(5, 24)
-    if not batch.inputs:  # numpy-less fallback keeps scalar tuples
-        assert batch.scenarios == scalar
-        return
+    assert list(batch.inputs) == list(scalar[0].inputs)
     for name in SPEC.operands:
         column = batch.inputs[name]
         assert [int(v) for v in column] == [

@@ -182,6 +182,142 @@ class TestDegenerateBatch:
 
 
 # ---------------------------------------------------------------------------
+# closed-form (fused) loops
+
+#: Rigel ``index`` after ``absorb_index_into_base(var="Src.Index",
+#: base="Src.Base")``: ``read()`` advances ``Src.Base`` inside the
+#: condition of the exit that finds the character.
+ABSORBED_INDEX = parse_description(
+    """
+    index.operation := begin
+        ** SOURCE.ACCESS **
+            Src.Base: integer,
+            Src.Index: integer,
+            Src.Length: integer,
+            read(): integer := begin
+                read <- Mb[ Src.Base ];
+                Src.Index <- Src.Index + 1;
+                Src.Base <- Src.Base + 1;
+            end
+        ** STATE **
+            ch: character,
+            zz_saved: integer
+        ** STRING.PROCESS **
+            index.execute() := begin
+                input (Src.Base, Src.Length, ch);
+                Src.Index <- 0;
+                zz_saved <- Src.Base;
+                repeat
+                    exit_when (Src.Length = 0);
+                    exit_when (ch = read());
+                    Src.Length <- Src.Length - 1;
+                end_repeat;
+                if Src.Length = 0
+                then
+                    output (0);
+                else
+                    output (Src.Base - zz_saved);
+                end_if;
+            end
+    end
+    """
+)
+
+#: One scanning loop per exit shape: ``read()`` is the access routine
+#: body, then the exits (and the flag assignment) of the loop.
+_SCAN_LOOP = """
+t.op := begin
+    ** S **
+        p<15:0>, c<7:0>, n<15:0>, f<7:0>,
+        read(): integer := begin
+            %s
+        end
+    ** P **
+        t.execute() := begin
+            input (p, c, n);
+            repeat
+                %s
+                n <- n - 1;
+            end_repeat;
+            output (p, n);
+        end
+end
+"""
+
+_POST = "read <- Mb[ p ]; p <- p + 1;"
+FUSED_SHAPES = {
+    "counter-then-call": (_POST, "exit_when (n = 0); exit_when (c = read());"),
+    "call-then-counter": (_POST, "exit_when (c = read()); exit_when (n = 0);"),
+    "increment-before-load": (
+        "p <- p + 1; read <- Mb[ p ];",
+        "exit_when (n = 0); exit_when (c = read());",
+    ),
+    "decrement": (
+        "read <- Mb[ p ]; p <- p - 1;",
+        "exit_when (n = 0); exit_when (c = read());",
+    ),
+    "not-equal": (_POST, "exit_when (n = 0); exit_when (read() <> c);"),
+    "flag": (_POST, "exit_when (n = 0); f <- (c = read()); exit_when (f);"),
+}
+
+
+@pytest.fixture
+def fused_runs(monkeypatch):
+    """Counts fused-plan runs that finished without bailing out."""
+    pytest.importorskip("numpy")
+    from repro.semantics import vectorized_fuse
+
+    runs = []
+    real = vectorized_fuse.FusedPlan.run
+
+    def run(self, *args):
+        real(self, *args)
+        runs.append(self)
+
+    monkeypatch.setattr(vectorized_fuse.FusedPlan, "run", run)
+    return runs
+
+
+class TestFusedLoops:
+    def test_increment_in_the_firing_exit_condition_is_counted(
+        self, fused_runs
+    ):
+        # The character sits at offset 3, so read() runs four times and
+        # the fourth run, inside the exit that fires, advances the base.
+        inputs = {"Src.Base": 16, "Src.Length": 5, "ch": 31}
+        memory = {16: 186, 17: 118, 18: 51, 19: 31, 20: 60}
+        got = VectorizedDescription(ABSORBED_INDEX).run(inputs, memory)
+        assert fused_runs, "the loop must take the closed form"
+        want = Interpreter(ABSORBED_INDEX).run(dict(inputs), dict(memory))
+        assert want.outputs == (4,)
+        assert got.outputs == want.outputs
+        assert got.registers == want.registers
+        assert got.steps == want.steps
+
+    @pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
+    def test_every_exit_shape_matches_the_interpreter(
+        self, shape, fused_runs
+    ):
+        description = parse_description(_SCAN_LOOP % FUSED_SHAPES[shape])
+        memory = {100 + i: (7 * i) % 11 for i in range(24)}
+        lanes = [(100 + i % 5, i % 11, i % 13) for i in range(40)]
+        result = VectorizedDescription(description).run_batch(
+            {
+                "p": [p for p, _, _ in lanes],
+                "c": [c for _, c, _ in lanes],
+                "n": [n for _, _, n in lanes],
+            },
+            memory,
+        )
+        assert fused_runs, "the loop must take the closed form"
+        assert batch_outcomes(result) == scalar_reference(
+            description,
+            [{"p": p, "c": c, "n": n} for p, c, n in lanes],
+            memory,
+        )
+
+
+# ---------------------------------------------------------------------------
 # differential gate on a planted vector-lowering bug
 
 SUB_ONE = parse_description(
