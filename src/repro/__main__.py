@@ -132,8 +132,9 @@ def cmd_batch(args) -> int:
         store_backend=args.store_backend,
     )
     try:
-        with _metrics_scope(args.metrics_out):
-            result = api.batch(args.names or None, config)
+        result = api.batch(
+            args.names or None, config, metrics=bool(args.metrics_out)
+        )
     except (api.UnknownAnalysisError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -147,7 +148,6 @@ def cmd_batch(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import api
-    from .analysis.runner import run_batch
 
     config = api.RunConfig(
         engine=args.engine,
@@ -157,8 +157,9 @@ def cmd_verify(args) -> int:
         symbolic=args.symbolic,
     )
     try:
-        with _metrics_scope(args.metrics_out):
-            report = run_batch(names=args.names, config=config)
+        report = api.batch(
+            args.names, config, metrics=bool(args.metrics_out)
+        ).report
     except (api.UnknownAnalysisError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -13,7 +13,11 @@ hands it to every pooled batch (CLI and :mod:`repro.service` alike):
 * later runs whose worker demand fits the live pool reuse it
   untouched (``repro_pool_reuse_total``) — the workers keep every
   content-keyed cache they have warmed, so repeated requests stop
-  re-parsing, re-compiling, and re-replaying;
+  re-parsing and re-compiling.  Replays are kept for the process's
+  lifetime in every process, pooled worker or serial parent alike
+  (:class:`repro.analysis.runner._ReplayMemo`): a replay depends only
+  on the script and its descriptions, which are fixed while the
+  process lives, as :func:`repro.provenance.code_epoch` assumes;
 * a run that needs *more* workers than the pool has respawns it at
   the larger size (counted as a spawn);
 * a run that breaks the pool (worker crash) or abandons workers

@@ -25,11 +25,14 @@ This module turns the one-shot replay into a service-shaped pipeline:
 * results aggregate in catalog order, so two runs with the same seed
   produce byte-identical JSON reports (timing lives outside the JSON).
 
-Within a worker process, replayed analyses are memoized per module (a
-worker verifying three shards of ``scasb_rigel`` replays the script
-once) and the parsers behind them are content-keyed
-(:mod:`repro.isdl.cache`), so repeated runs stop re-parsing identical
-ISDL sources.
+Every process replays each analysis at most once (:class:`_ReplayMemo`):
+a worker verifying three shards of ``scasb_rigel`` replays the script
+once, and so does a service answering a hundred fresh-seed ``/verify``
+requests for it.  That is sound for the life of the process because a
+replay depends only on the script and its input descriptions, the same
+assumption :func:`repro.provenance.code_epoch` makes about the code.
+The parsers behind replay are content-keyed too
+(:mod:`repro.isdl.cache`), so nothing re-parses identical ISDL sources.
 
 With ``cache_dir`` set, the batch becomes *incremental*: each entry's
 verdict key (input-description digests + code epoch + verification
@@ -52,7 +55,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..obs.metrics import diff_snapshots
+from ..obs.metrics import diff_snapshots, fork_safe_lock
 from ..semantics.engine import DEFAULT_ENGINE
 from .config import _UNSET, RunConfig, resolve_config
 from .report import canonical_report_json
@@ -101,11 +104,13 @@ class ShardSpec:
     engine: str = DEFAULT_ENGINE
     #: run the symbolic prove-then-sample fast path in each shard.
     symbolic: bool = False
-    #: collect a metrics delta for this job even when the executing
-    #: process has no fork-inherited registry.  Set by the pool path at
-    #: submission time: a *persistent* pool's workers may predate the
+    #: collect a metrics delta for this job and ship it back in the
+    #: record, opening a job-local registry when the executing process
+    #: has none.  Set by the pool path at submission time when the
+    #: parent collects: a *persistent* pool's workers may predate the
     #: parent's ``obs.collecting()`` window, so worker-side collection
     #: must be requested explicitly rather than inherited by fork.
+    #: Serial jobs leave it off: they count into the parent's registry.
     collect: bool = False
 
 
@@ -163,8 +168,9 @@ class BatchReport:
     #: False when the run had no store; the counters then stay zero.
     cache_enabled: bool = False
     #: metrics snapshot of this run (``repro.metrics/1``), present only
-    #: when collection was on.  Serialized as a top-level ``"metrics"``
-    #: block; with collection off (the default) the JSON is unchanged.
+    #: when the caller asked for one (``api.batch(metrics=True)``).
+    #: Serialized as a top-level ``"metrics"`` block; without it (the
+    #: default) the JSON is unchanged.
     metrics: Optional[Dict[str, object]] = None
 
     @property
@@ -332,9 +338,9 @@ def plan_jobs(
     """The deterministic job list for one batch invocation.
 
     Every entry gets at least one job.  Verified entries are sharded;
-    each shard re-derives the binding in its worker (the replay is
-    memoized per process) and verifies its window of the scenario
-    stream.  Entries expected to fail get a replay-only job.
+    each shard takes the binding from its process's replay memo
+    (replaying on the first miss) and verifies its window of the
+    scenario stream.  Entries expected to fail get a replay-only job.
     """
     specs: List[ShardSpec] = []
     for entry in entries:
@@ -350,16 +356,58 @@ def plan_jobs(
     return specs
 
 
-@lru_cache(maxsize=None)
+class _ReplayMemo:
+    """Every analysis this process has replayed, by name.
+
+    A replay's output depends only on the analysis script and its input
+    descriptions, and both are fixed for the life of a process — the
+    assumption :func:`repro.provenance.code_epoch` and
+    :func:`_description_digests` make too.  So one replay per name
+    serves every later batch, serial or pooled, for the whole process.
+
+    A hit reads the table without the lock.  A miss replays under it,
+    so threads that miss one name at once replay it once.  The lock is
+    fork-safe (:func:`~repro.obs.metrics.fork_safe_lock`): a pool worker
+    forked while a handler thread is replaying gets a free lock and
+    replays that name itself.  A replay that raises stores nothing, so
+    the next call tries again.
+    """
+
+    def __init__(self) -> None:
+        self._lock = fork_safe_lock(self)
+        self._entries: Dict[str, Tuple[object, object]] = {}
+
+    def get(self, name: str):
+        try:
+            return self._entries[name]
+        except KeyError:
+            pass
+        with self._lock:
+            try:
+                return self._entries[name]
+            except KeyError:
+                pass
+            with obs.span("replay", analysis=name):
+                module = importlib.import_module(f"repro.analyses.{name}")
+                value = module, module.run(verify=False)
+            self._entries[name] = value
+            return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_REPLAYS = _ReplayMemo()
+
+
 def _replay(name: str):
-    """Replay one analysis script (no verification), memoized per process."""
-    with obs.span("replay", analysis=name):
-        module = importlib.import_module(f"repro.analyses.{name}")
-        return module, module.run(verify=False)
+    """Replay one analysis script (no verification), once per process."""
+    return _REPLAYS.get(name)
 
 
 def _clear_replay_cache() -> None:
-    _replay.cache_clear()
+    _REPLAYS.clear()
 
 
 def _cache_miss_count() -> int:
@@ -437,14 +485,19 @@ def execute_shard(spec: ShardSpec) -> Dict[str, object]:
 
     started = time.perf_counter()
     misses_before = _cache_miss_count()
-    registry = obs.active()
+    # Only pooled jobs ship a metrics delta back.  A serial shard
+    # already counts into this process's registry, and snapshotting a
+    # long-lived registry (the service's) twice per shard is not free.
+    registry = None
     local_collect = None
-    if registry is None and spec.collect:
-        # A persistent-pool worker forked before collection was turned
-        # on in the parent: install a job-local registry so the delta
-        # this shard produces still rides the record back.
-        local_collect = obs.collecting()
-        registry = local_collect.__enter__()
+    if spec.collect:
+        registry = obs.active()
+        if registry is None:
+            # A persistent-pool worker forked before collection was
+            # turned on in the parent: install a job-local registry so
+            # the delta this shard produces still rides the record back.
+            local_collect = obs.collecting()
+            registry = local_collect.__enter__()
     metrics_before = registry.snapshot() if registry is not None else None
     record: Dict[str, object] = {
         "name": spec.name,
@@ -496,11 +549,9 @@ def execute_shard(spec: ShardSpec) -> Dict[str, object]:
         record["error"] = f"{type(error).__name__}: {error}"
     record["duration"] = time.perf_counter() - started
     record["cache_misses"] = _cache_miss_count() - misses_before
-    if registry is not None and metrics_before is not None:
-        # In a pool worker this delta rides the record back to the
-        # parent, which merges deltas in deterministic plan order; in
-        # serial mode the shared registry already holds these counts,
-        # so the parent must NOT merge (see run_batch).
+    if metrics_before is not None:
+        # This delta rides the record back to the parent, which merges
+        # deltas in deterministic plan order (see run_batch).
         record["metrics"] = diff_snapshots(
             metrics_before, registry.snapshot()
         )
@@ -883,8 +934,10 @@ def run_batch(
     run is traced end to end: pool workers snapshot their registry
     around each shard and ship the delta back in the job record, and
     the parent merges those deltas in deterministic plan order, so the
-    final snapshot is independent of worker scheduling.  The snapshot
-    lands on :attr:`BatchReport.metrics`.
+    installed registry ends up independent of worker scheduling.  This
+    function takes no snapshot of it: :func:`repro.api.batch` with
+    ``metrics=True`` does, onto :attr:`BatchReport.metrics`.  A
+    long-lived registry (the service's) is never copied per request.
     """
     cfg = resolve_config(
         config,
@@ -942,7 +995,6 @@ def run_batch(
             resolved.name,
             cfg.symbolic,
         )
-        _clear_replay_cache()
         records: Dict[Tuple[str, int], Optional[Dict[str, object]]] = {}
         if cfg.jobs == 1 or not specs:
             # Serial runs never construct a pool, and neither does a
@@ -998,6 +1050,4 @@ def run_batch(
         engine=resolved.name,
         cache_enabled=store is not None,
     )
-    if obs.enabled():
-        report.metrics = obs.snapshot()
     return report

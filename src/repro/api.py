@@ -26,6 +26,7 @@ with the same message the CLI prints before exiting 2.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -308,13 +309,18 @@ def batch(
 
     ``metrics=True`` collects an observability snapshot for this run
     (unless collection is already on, in which case the surrounding
-    registry keeps collecting) and attaches it to the report.
+    registry keeps collecting) and attaches it to the report.  Without
+    it no snapshot is taken, even when collection is on.
     """
-    if metrics and not obs.enabled():
-        with obs.collecting():
-            report = run_batch(names=names, config=config)
-    else:
+    scope = (
+        obs.collecting()
+        if metrics and not obs.enabled()
+        else contextlib.nullcontext()
+    )
+    with scope:
         report = run_batch(names=names, config=config)
+        if metrics:
+            report.metrics = obs.snapshot()
     return BatchResult(report=report)
 
 

@@ -469,11 +469,10 @@ class AnalysisService:
         config = self._run_config(request, **forced)
         result = _catch_unknown(lambda: api.batch(names, config))
         # The structure ``repro batch --json`` prints, encoded once by
-        # ``_blocking``.  The service's lifetime registry is not part
-        # of it: that lives at /stats and /metrics.
-        payload = result.report.to_payload()
-        payload.pop("metrics", None)
-        return payload
+        # ``_blocking``.  It carries no metrics block: the service's
+        # lifetime registry lives at /stats and /metrics, and no
+        # request takes a snapshot of it.
+        return result.report.to_payload()
 
     def _do_trace(self, request: Dict[str, Any]) -> Dict[str, object]:
         from .. import api

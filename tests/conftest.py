@@ -77,6 +77,19 @@ end
 """
 
 
+@pytest.fixture(autouse=True)
+def _cold_replay_memo():
+    """Start every test with an empty replay memo.
+
+    The memo lives for the whole process, so without this a test that
+    monkeypatches an analysis's ``run`` could be served an outcome an
+    earlier test memoized.
+    """
+    from repro.analysis.runner import _clear_replay_cache
+
+    _clear_replay_cache()
+
+
 @pytest.fixture
 def search_desc():
     return parse_description(SEARCH_TEXT)
